@@ -56,7 +56,8 @@ use matc_ir::ids::{BlockId, FuncId, VarId};
 use matc_ir::instr::{InstrKind, Op, Operand};
 use matc_ir::{Budget, BudgetError, Builtin, FuncIr, IrProgram};
 use matc_typeinf::{ExprId, Intrinsic, ProgramTypes};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Mutex;
 
 /// Work counters one function's audit produced, for the
 /// `audit_edges_per_sec` throughput metric.
@@ -139,9 +140,6 @@ pub fn audit_program_jobs(
         return audit_program_with_stats(prog, &mut local, plans);
     }
 
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
     let queues: Vec<Mutex<VecDeque<usize>>> =
         (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
     for i in 0..n {
@@ -155,30 +153,26 @@ pub fn audit_program_jobs(
             let queues = &queues;
             let slots = &slots;
             let mut local_types = types.clone();
-            scope.spawn(move || loop {
-                let task = queues[w].lock().unwrap().pop_front().or_else(|| {
-                    (0..queues.len())
-                        .filter(|q| *q != w)
-                        .find_map(|q| queues[q].lock().unwrap().pop_back())
-                });
-                let Some(i) = task else { break };
-                let fid = FuncId::new(i);
-                let func = prog.func(fid);
-                let preds = func.predecessors();
-                let budget = Budget::unlimited();
-                let mut d = Diagnostics::new();
-                let s = audit_function_budgeted(
-                    func,
-                    fid,
-                    &mut local_types,
-                    plans.plan(fid),
-                    plans.options,
-                    &preds,
-                    &budget,
-                    &mut d,
-                )
-                .expect("unlimited budget cannot trip");
-                *slots[i].lock().unwrap() = Some((d, s));
+            scope.spawn(move || {
+                while let Some(i) = next_task(queues, w) {
+                    let fid = FuncId::new(i);
+                    let func = prog.func(fid);
+                    let preds = func.predecessors();
+                    let budget = Budget::unlimited();
+                    let mut d = Diagnostics::new();
+                    let s = audit_function_budgeted(
+                        func,
+                        fid,
+                        &mut local_types,
+                        plans.plan(fid),
+                        plans.options,
+                        &preds,
+                        &budget,
+                        &mut d,
+                    )
+                    .expect("unlimited budget cannot trip");
+                    *slots[i].lock().unwrap() = Some((d, s));
+                }
             });
         }
     });
@@ -194,6 +188,20 @@ pub fn audit_program_jobs(
         stats.absorb(s);
     }
     (diags, stats)
+}
+
+/// Worker `w`'s next task: the front of its own queue, else the back
+/// of a neighbour's. The own-queue guard drops before any neighbour is
+/// locked; holding it while stealing lets two idle workers deadlock on
+/// each other's queues.
+fn next_task(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
+    const POISONED: &str = "queue guards are held only for a pop";
+    let own = queues[w].lock().expect(POISONED).pop_front();
+    own.or_else(|| {
+        (0..queues.len())
+            .filter(|q| *q != w)
+            .find_map(|q| queues[q].lock().expect(POISONED).pop_back())
+    })
 }
 
 /// Audits one function's plan, appending findings to `diags`.
@@ -932,7 +940,6 @@ fn check_engine_agreement(
     diags: &mut Diagnostics,
 ) {
     let fname = &plan.func_name;
-    let popcount = |row: &[u64]| row.iter().map(|w| w.count_ones() as usize).sum::<usize>();
     for b in func.block_ids() {
         let bi = b.index();
         if flow.live_out_row(b) != prod.live_out_bits().row(bi) {
@@ -943,13 +950,7 @@ fn check_engine_agreement(
                 None,
             );
         }
-        // Production live-in is an ordered-free set; compare by
-        // membership plus cardinality.
-        if prod.live_in[bi].len() != popcount(flow.live_in_row(b))
-            || prod.live_in[bi]
-                .iter()
-                .any(|v| !flow.live_in_contains(b, *v))
-        {
+        if flow.live_in_row(b) != prod.live_in_bits().row(bi) {
             diags.error(
                 "A501",
                 fname,
@@ -1042,6 +1043,41 @@ mod tests {
         let mut types = infer_program(&ir);
         let plans = matc_gctd::plan_program(&ir, &mut types, GctdOptions::default());
         (ir, types, plans)
+    }
+
+    #[test]
+    fn pool_survives_simultaneous_steal_attempts() {
+        // Regression: a worker once held its own queue's lock while
+        // locking its neighbours' to steal, so idle workers stealing
+        // from each other formed a lock cycle and hung. Workers spinning
+        // on drained queues steal simultaneously all the time; a
+        // watchdog turns a hang into a failure.
+        let jobs = 4;
+        let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
+            .map(|w| Mutex::new((0..64).map(|i| i * jobs + w).collect()))
+            .collect();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let taken: usize = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..jobs)
+                    .map(|w| {
+                        let queues = &queues;
+                        scope.spawn(move || {
+                            (0..20_000)
+                                .filter(|_| next_task(queues, w).is_some())
+                                .count()
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            done_tx.send(taken).unwrap();
+        });
+        let taken = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("work-stealing workers deadlocked");
+        watched.join().unwrap();
+        assert_eq!(taken, 64 * jobs, "every task taken exactly once");
     }
 
     #[test]

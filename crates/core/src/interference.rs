@@ -84,7 +84,7 @@ pub struct InterferenceGraph {
     /// non-representatives.
     members_cache: Vec<Vec<VarId>>,
     /// Memoized class degrees (distinct neighbor count), indexed by
-    /// representative.
+    /// representative; zero for every other variable.
     degree: Vec<u32>,
 }
 
@@ -160,7 +160,7 @@ impl InterferenceGraph {
         // there — i.e. with the other live parameters.
         for p in &func.params {
             for q in &func.params {
-                if p != q && flow.live_in[func.entry.index()].contains(q) {
+                if p != q && flow.live_in_bits().get(func.entry.index(), q.index()) {
                     g.add_edge(*p, *q);
                 }
             }
@@ -330,7 +330,12 @@ impl InterferenceGraph {
             .map(VarId::new)
             .collect();
         self.members_cache = members;
-        self.degree = (0..nv).map(|i| self.adj.count_row(i) as u32).collect();
+        // Representatives only (`degree` maps through `rep`): counting
+        // every row would touch the whole nv × nv matrix.
+        self.degree = vec![0; nv];
+        for r in &self.reps_cache {
+            self.degree[r.index()] = self.adj.count_row(r.index()) as u32;
+        }
     }
 
     /// Whether `v` is a code literal (defined by a `Const` instruction)
@@ -432,19 +437,11 @@ impl InterferenceGraph {
     }
 
     /// The number of distinct interference edges between classes.
+    /// Adjacency is symmetric and coalescing rewires merged rows, so
+    /// every neighbor is already a distinct representative.
     pub fn edge_count(&self) -> usize {
-        let mut edges = 0;
-        for r in self.representatives() {
-            let mut ns: Vec<VarId> = self
-                .neighbors(r)
-                .map(|n| self.rep(n))
-                .filter(|n| *n > r)
-                .collect();
-            ns.sort_unstable();
-            ns.dedup();
-            edges += ns.len();
-        }
-        edges
+        let above = |r: &VarId| self.neighbors(*r).filter(|n| n > r).count();
+        self.reps_cache.iter().map(above).sum()
     }
 }
 

@@ -24,26 +24,22 @@ use matc_ir::instr::InstrKind;
 use matc_ir::{Budget, BudgetError, FuncIr};
 use std::collections::HashSet;
 
-/// Per-block liveness and availability sets for one SSA function.
+/// Per-block liveness and availability sets for one SSA function, as
+/// dense block × variable bit rows.
 #[derive(Debug, Clone)]
 pub struct Dataflow {
-    /// Variables live at each block entry (φ inputs excluded, φ defs
-    /// included when used later).
-    pub live_in: Vec<HashSet<VarId>>,
-    /// Variables live at each block exit (φ uses of successors count as
-    /// live-out of the corresponding predecessor).
-    pub live_out: Vec<HashSet<VarId>>,
-    /// Variables available (possibly defined) at each block exit.
-    pub avail_out: Vec<HashSet<VarId>>,
     /// Definition site of every variable: `(block, instruction index)`;
     /// parameters use index 0 of the entry block and are flagged.
     pub def_site: Vec<Option<(BlockId, usize)>>,
     /// Whether the variable is a parameter (defined before instr 0).
     pub is_param: Vec<bool>,
-    /// Dense rows of `live_out` (block × variable), for word-wise
-    /// consumers like the interference scan.
+    /// Variables live at each block entry (φ inputs excluded, φ defs
+    /// included when used later).
+    live_in_bits: BitMatrix,
+    /// Variables live at each block exit (φ uses of successors count as
+    /// live-out of the corresponding predecessor).
     live_out_bits: BitMatrix,
-    /// Dense rows of `avail_out` (block × variable).
+    /// Variables available (possibly defined) at each block exit.
     avail_out_bits: BitMatrix,
     /// `reach.get(a, b)` when a CFG path of length ≥ 1 leads from `a`
     /// to `b`.
@@ -59,16 +55,6 @@ impl Dataflow {
         Dataflow::compute_budgeted(func, &budget).expect("unlimited budget cannot trip")
     }
 
-    /// [`Dataflow::compute`] with the predecessor lists supplied by the
-    /// caller, so a pipeline that already computed
-    /// [`FuncIr::predecessors`] (e.g. the auditor) does not recompute
-    /// them per analysis phase.
-    pub fn compute_with_preds(func: &FuncIr, preds: &[Vec<BlockId>]) -> Dataflow {
-        let budget = Budget::unlimited();
-        Dataflow::compute_budgeted_with_preds(func, preds, &budget)
-            .expect("unlimited budget cannot trip")
-    }
-
     /// [`Dataflow::compute`] under a [`Budget`]: each fixpoint charges
     /// one fuel unit per worklist visit (plus a seeding charge of one
     /// unit per block, matching the old per-sweep cost floor) and
@@ -81,8 +67,10 @@ impl Dataflow {
         Dataflow::compute_budgeted_with_preds(func, &func.predecessors(), budget)
     }
 
-    /// [`Dataflow::compute_budgeted`] with caller-supplied predecessor
-    /// lists (see [`Dataflow::compute_with_preds`]).
+    /// [`Dataflow::compute_budgeted`] with the predecessor lists
+    /// supplied by the caller, so a pipeline that already computed
+    /// [`FuncIr::predecessors`] (e.g. the auditor) does not recompute
+    /// them per analysis phase.
     ///
     /// # Errors
     ///
@@ -256,17 +244,10 @@ impl Dataflow {
             }
         }
 
-        let to_sets = |m: &BitMatrix| -> Vec<HashSet<VarId>> {
-            (0..n)
-                .map(|bi| m.iter_row(bi).map(VarId::new).collect())
-                .collect()
-        };
         Ok(Dataflow {
-            live_in: to_sets(&live_in_bits),
-            live_out: to_sets(&live_out_bits),
-            avail_out: to_sets(&avail_out_bits),
             def_site,
             is_param,
+            live_in_bits,
             live_out_bits,
             avail_out_bits,
             reach,
@@ -416,28 +397,27 @@ impl Dataflow {
 
         // Pack the reference results into the same dense representation
         // so every accessor behaves identically to the worklist engine.
-        let mut live_out_bits = BitMatrix::new(n, nv);
-        let mut avail_out_bits = BitMatrix::new(n, nv);
+        let pack = |sets: &[HashSet<VarId>]| {
+            let mut m = BitMatrix::new(n, nv);
+            for (bi, set) in sets.iter().enumerate() {
+                for v in set {
+                    m.set(bi, v.index());
+                }
+            }
+            m
+        };
         let mut reach_bits = BitMatrix::new(n, n);
-        for bi in 0..n {
-            for v in &live_out[bi] {
-                live_out_bits.set(bi, v.index());
-            }
-            for v in &avail_out[bi] {
-                avail_out_bits.set(bi, v.index());
-            }
-            for t in &reach[bi] {
+        for (bi, set) in reach.iter().enumerate() {
+            for t in set {
                 reach_bits.set(bi, t.index());
             }
         }
         Dataflow {
-            live_in,
-            live_out,
-            avail_out,
             def_site,
             is_param,
-            live_out_bits,
-            avail_out_bits,
+            live_in_bits: pack(&live_in),
+            live_out_bits: pack(&live_out),
+            avail_out_bits: pack(&avail_out),
             reach: reach_bits,
             iterations: 0,
         }
@@ -472,6 +452,11 @@ impl Dataflow {
     /// Whether block `a` can reach block `b` via ≥ 1 edge.
     pub fn block_reaches(&self, a: BlockId, b: BlockId) -> bool {
         self.reach.get(a.index(), b.index())
+    }
+
+    /// The dense live-in rows (block × variable).
+    pub fn live_in_bits(&self) -> &BitMatrix {
+        &self.live_in_bits
     }
 
     /// The dense live-out rows (block × variable), for word-wise
@@ -529,12 +514,12 @@ mod tests {
             .find(|b| f.block(*b).term.successors().is_empty())
             .unwrap();
         assert!(
-            d.live_out[ret.index()].contains(&y),
+            d.live_out_bits().get(ret.index(), y.index()),
             "output live at function exit"
         );
         // x (the param) is live into the entry.
         let x = f.params[0];
-        assert!(d.live_in[f.entry.index()].contains(&x));
+        assert!(d.live_in_bits().get(f.entry.index(), x.index()));
     }
 
     #[test]
@@ -580,7 +565,7 @@ mod tests {
         // the φ at the join).
         let y1 = var_named(&f, "y", 1);
         let (db, _) = d.def_site[y1.index()].unwrap();
-        assert!(d.live_out[db.index()].contains(&y1), "{f}");
+        assert!(d.live_out_bits().get(db.index(), y1.index()), "{f}");
     }
 
     #[test]
@@ -589,7 +574,7 @@ mod tests {
         let y1 = var_named(&f, "y", 1);
         let (db, _) = d.def_site[y1.index()].unwrap();
         // y.1 is consumed within the block; not live out.
-        assert!(!d.live_out[db.index()].contains(&y1));
+        assert!(!d.live_out_bits().get(db.index(), y1.index()));
     }
 
     #[test]
@@ -598,9 +583,9 @@ mod tests {
             "function y = f(x)\ns = 0;\nwhile x > 0\nif s > 3\ns = s + x;\nelse\ns = s - 1;\nend\nx = x - 1;\nend\ny = s;\n",
         );
         let r = Dataflow::compute_reference(&f);
-        assert_eq!(d.live_in, r.live_in);
-        assert_eq!(d.live_out, r.live_out);
-        assert_eq!(d.avail_out, r.avail_out);
+        assert_eq!(d.live_in_bits(), r.live_in_bits());
+        assert_eq!(d.live_out_bits(), r.live_out_bits());
+        assert_eq!(d.avail_out_bits(), r.avail_out_bits());
         assert_eq!(d.def_site, r.def_site);
         for a in f.block_ids() {
             for b in f.block_ids() {
@@ -608,25 +593,6 @@ mod tests {
             }
         }
         assert!(d.worklist_iterations() > 0);
-    }
-
-    #[test]
-    fn bit_rows_mirror_the_hash_sets() {
-        let (f, d) = flow("function y = f(x)\na = x + 1;\nif x > 0\ny = a;\nelse\ny = x;\nend\n");
-        for b in f.block_ids() {
-            let row: HashSet<VarId> = d
-                .live_out_bits()
-                .iter_row(b.index())
-                .map(VarId::new)
-                .collect();
-            assert_eq!(row, d.live_out[b.index()]);
-            let row: HashSet<VarId> = d
-                .avail_out_bits()
-                .iter_row(b.index())
-                .map(VarId::new)
-                .collect();
-            assert_eq!(row, d.avail_out[b.index()]);
-        }
         assert!(d.live_set_words() >= 1);
     }
 }

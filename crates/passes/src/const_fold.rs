@@ -2,59 +2,72 @@
 //!
 //! Scalar operations whose operands are compile-time constants are
 //! rewritten to `Const` instructions; because the IR is SSA, propagation
-//! is implicit (later folds see earlier results) and the pass iterates
-//! until no instruction changes. Folding feeds the type engine with
+//! is implicit: each folded result joins the constant map at once, and
+//! blocks are swept in reverse postorder (every def before its non-φ
+//! uses), so one sweep folds a whole dependency chain — an N-long
+//! `x = x + k` chain costs O(N), not the O(N²) of folding one link per
+//! sweep. Unreachable blocks follow in index order, and a second sweep
+//! confirms the fixpoint. Folding feeds the type engine with
 //! exact values — the paper's drivers pass constant problem sizes, which
 //! is what makes whole benchmarks stack-allocatable (§3.2.1).
 
 use matc_frontend::ast::{BinOp, UnOp};
-use matc_ir::ids::VarId;
+use matc_ir::ids::{BlockId, VarId};
 use matc_ir::instr::{Const, InstrKind, Op};
 use matc_ir::{Builtin, FuncIr};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Folds constant scalar computations in one SSA function. Returns the
 /// number of instructions rewritten to constants.
 pub fn fold_constants(func: &mut FuncIr) -> usize {
+    let mut consts = scalar_consts(func);
+    // Reverse postorder, then the unreachable blocks (module docs).
+    let mut order = func.reverse_postorder();
+    let reachable: HashSet<BlockId> = order.iter().copied().collect();
+    order.extend(func.block_ids().filter(|b| !reachable.contains(b)));
     let mut total = 0;
     loop {
-        let mut consts: HashMap<VarId, f64> = HashMap::new();
-        for b in func.block_ids() {
-            for instr in &func.block(b).instrs {
-                if let InstrKind::Const { dst, value } = &instr.kind {
-                    if let Some(v) = scalar_value(value) {
-                        consts.insert(*dst, v);
-                    }
-                }
-            }
-        }
         let mut folded = 0;
-        for b in func.block_ids() {
-            let mut blk = std::mem::take(func.block_mut(b));
-            for instr in &mut blk.instrs {
+        for &b in &order {
+            for instr in &mut func.block_mut(b).instrs {
                 if let InstrKind::Compute { dst, op, args } = &instr.kind {
                     let vals: Option<Vec<f64>> = args
                         .iter()
                         .map(|a| a.as_var().and_then(|v| consts.get(&v).copied()))
                         .collect();
-                    if let Some(vals) = vals {
-                        if let Some(result) = eval(op, &vals) {
-                            instr.kind = InstrKind::Const {
-                                dst: *dst,
-                                value: result,
-                            };
-                            folded += 1;
+                    if let Some(result) = vals.and_then(|vals| eval(op, &vals)) {
+                        if let Some(v) = scalar_value(&result) {
+                            consts.insert(*dst, v);
                         }
+                        instr.kind = InstrKind::Const {
+                            dst: *dst,
+                            value: result,
+                        };
+                        folded += 1;
                     }
                 }
             }
-            *func.block_mut(b) = blk;
         }
         total += folded;
         if folded == 0 {
             return total;
         }
     }
+}
+
+/// The scalar value of every `Const`-defined variable.
+fn scalar_consts(func: &FuncIr) -> HashMap<VarId, f64> {
+    let mut consts = HashMap::new();
+    for b in func.block_ids() {
+        for instr in &func.block(b).instrs {
+            if let InstrKind::Const { dst, value } = &instr.kind {
+                if let Some(v) = scalar_value(value) {
+                    consts.insert(*dst, v);
+                }
+            }
+        }
+    }
+    consts
 }
 
 fn scalar_value(c: &Const) -> Option<f64> {
@@ -146,16 +159,7 @@ fn eval(op: &Op, vals: &[f64]) -> Option<Const> {
 /// unreachable φ-inputs. Returns the number of branches simplified.
 pub fn fold_branches(func: &mut FuncIr) -> usize {
     use matc_ir::instr::Terminator;
-    let mut consts: HashMap<VarId, f64> = HashMap::new();
-    for b in func.block_ids() {
-        for instr in &func.block(b).instrs {
-            if let InstrKind::Const { dst, value } = &instr.kind {
-                if let Some(v) = scalar_value(value) {
-                    consts.insert(*dst, v);
-                }
-            }
-        }
-    }
+    let consts = scalar_consts(func);
     let mut folded = 0;
     for b in func.block_ids() {
         let blk = func.block(b);
@@ -195,7 +199,7 @@ pub fn fold_branches(func: &mut FuncIr) -> usize {
 /// Empties blocks that became unreachable and drops φ-inputs arriving
 /// from them, keeping the SSA invariants intact.
 pub fn remove_unreachable(func: &mut FuncIr) {
-    let reachable: std::collections::HashSet<_> = func.reverse_postorder().into_iter().collect();
+    let reachable: HashSet<_> = func.reverse_postorder().into_iter().collect();
     for b in func.block_ids() {
         if !reachable.contains(&b) {
             let blk = func.block_mut(b);
@@ -227,6 +231,94 @@ mod tests {
         let ast = parse_program([src]).unwrap();
         let prog = build_ssa(&ast).unwrap();
         prog.entry_func().clone()
+    }
+
+    /// The fold before single-sweep folding, kept as the oracle: each
+    /// sweep rebuilds `consts` from scratch and walks blocks in index
+    /// order, so a chain folds one link per sweep. Returns the count
+    /// and the number of sweeps.
+    fn fold_by_sweeps(func: &mut FuncIr) -> (usize, usize) {
+        let (mut total, mut sweeps) = (0, 0);
+        loop {
+            sweeps += 1;
+            let consts = scalar_consts(func);
+            let mut folded = 0;
+            for b in func.block_ids() {
+                for instr in &mut func.block_mut(b).instrs {
+                    if let InstrKind::Compute { dst, op, args } = &instr.kind {
+                        let vals: Option<Vec<f64>> = args
+                            .iter()
+                            .map(|a| a.as_var().and_then(|v| consts.get(&v).copied()))
+                            .collect();
+                        if let Some(result) = vals.and_then(|vals| eval(op, &vals)) {
+                            instr.kind = InstrKind::Const {
+                                dst: *dst,
+                                value: result,
+                            };
+                            folded += 1;
+                        }
+                    }
+                }
+            }
+            total += folded;
+            if folded == 0 {
+                return (total, sweeps);
+            }
+        }
+    }
+
+    #[test]
+    fn one_call_folds_chains_against_block_index_order() {
+        use matc_frontend::span::Span;
+        use matc_ir::instr::{Instr, Operand, Terminator};
+
+        fn push(f: &mut FuncIr, b: matc_ir::BlockId, kind: InstrKind) {
+            f.block_mut(b).instrs.push(Instr::new(kind, Span::dummy()));
+        }
+        fn num(dst: VarId, v: f64) -> InstrKind {
+            InstrKind::Const {
+                dst,
+                value: Const::Num(v),
+            }
+        }
+        fn bin(dst: VarId, op: BinOp, x: VarId, y: VarId) -> InstrKind {
+            InstrKind::Compute {
+                dst,
+                op: Op::Bin(op),
+                args: vec![Operand::Var(x), Operand::Var(y)],
+            }
+        }
+        // entry → b2 → b1: the chain starts in b2 and continues in the
+        // lower-indexed b1. b3 → b4 is unreachable and holds a chain of
+        // its own.
+        let mut f = FuncIr::new("g");
+        let (b1, b2, b3, b4) = (f.add_block(), f.add_block(), f.add_block(), f.add_block());
+        let v: Vec<VarId> = (0..9).map(|_| f.new_temp()).collect();
+        let entry = f.entry;
+        f.block_mut(entry).term = Terminator::Jump(b2);
+        push(&mut f, b2, num(v[0], 2.0));
+        push(&mut f, b2, num(v[1], 3.0));
+        push(&mut f, b2, bin(v[2], BinOp::Add, v[0], v[1]));
+        f.block_mut(b2).term = Terminator::Jump(b1);
+        push(&mut f, b1, bin(v[3], BinOp::ElemMul, v[2], v[1]));
+        push(&mut f, b1, bin(v[4], BinOp::Sub, v[3], v[0]));
+        push(&mut f, b3, num(v[5], 5.0));
+        push(&mut f, b3, bin(v[6], BinOp::Add, v[5], v[5]));
+        f.block_mut(b3).term = Terminator::Jump(b4);
+        push(&mut f, b4, bin(v[7], BinOp::ElemMul, v[6], v[6]));
+        push(&mut f, b4, bin(v[8], BinOp::Lt, v[7], v[5]));
+        f.ssa_outs = vec![v[4]];
+        f.in_ssa = true;
+        verify_func(&f).unwrap();
+
+        let mut old = f.clone();
+        let (old_count, sweeps) = fold_by_sweeps(&mut old);
+        assert!(sweeps > 3, "the fixture must need several old sweeps");
+        let count = fold_constants(&mut f);
+        assert_eq!(count, old_count);
+        assert_eq!(count, 6, "{f}");
+        assert_eq!(f, old, "same folded IR as sweeping to a fixpoint");
+        verify_func(&f).unwrap();
     }
 
     #[test]

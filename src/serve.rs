@@ -356,12 +356,10 @@ pub(crate) struct Shared {
     /// Finished jobs waiting for the reactor to route their responses.
     completions: Mutex<Vec<Completion>>,
     /// The reactor's doorbell (write: workers, read: poller).
-    wake: WakePipe,
-    /// Gate so at most one doorbell byte is outstanding per tick.
     /// Crate-visible: the simulated net source reports the wake token
-    /// readable exactly when this is set, so the reactor's blocking
-    /// drain always finds its byte.
-    pub(crate) wake_pending: AtomicBool,
+    /// readable exactly while a byte is pending, so the reactor's
+    /// blocking drain always finds it.
+    pub(crate) wake: WakePipe,
     /// Poller backend name, for the stats census.
     backend: &'static str,
     conns_accepted: AtomicU64,
@@ -398,9 +396,7 @@ impl Shared {
     /// at most once per reactor tick.
     fn complete(&self, c: Completion) {
         lock_recover(&self.completions).push(c);
-        if !self.wake_pending.swap(true, Ordering::SeqCst) {
-            self.wake.wake();
-        }
+        self.wake.wake();
     }
 
     pub(crate) fn summary(&self, drained_cleanly: bool) -> ServeSummary {
@@ -541,7 +537,6 @@ pub(crate) fn make_shared(cfg: ServeConfig, backend: &'static str) -> io::Result
         net_faults_fired: AtomicU64::new(0),
         completions: Mutex::new(Vec::new()),
         wake,
-        wake_pending: AtomicBool::new(false),
         backend,
         conns_accepted: AtomicU64::new(0),
         conns_open: AtomicU64::new(0),
@@ -911,7 +906,6 @@ impl<N: NetSource> Reactor<N> {
                     TOK_LISTENER => self.on_accept(),
                     TOK_WAKE => {
                         self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
-                        self.shared.wake_pending.store(false, Ordering::SeqCst);
                         self.shared.wake.drain();
                     }
                     t => {

@@ -801,7 +801,7 @@ impl SimNet {
     // -- readiness -----------------------------------------------------
 
     fn collect(&mut self, out: &mut Vec<Event>) {
-        if self.shared.wake_pending.load(Ordering::SeqCst) {
+        if self.shared.wake.is_pending() {
             out.push(Event {
                 token: self.wake_token,
                 readable: true,

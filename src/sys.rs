@@ -20,7 +20,7 @@
 //! [`WakePipe`] is the reactor's cross-thread doorbell: compile
 //! workers finishing a job write one byte, the reactor's poller sees
 //! the read end become readable and drains it. An atomic "already
-//! rung" gate on the serve side keeps the pipe from ever filling.
+//! rung" gate keeps the pipe from ever filling.
 //!
 //! Two seams on top of the raw pollers make the reactor simulable
 //! (DESIGN.md §14): [`Clock`] abstracts monotonic time (system in
@@ -36,7 +36,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 #[cfg(not(unix))]
 type RawFd = i32;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -407,31 +407,31 @@ impl PollPoller {
 pub(crate) struct WakePipe {
     read_fd: RawFd,
     write_fd: RawFd,
+    /// Set while a doorbell byte is outstanding, so at most one byte
+    /// is ever buffered and [`WakePipe::wake`] never blocks.
+    pending: AtomicBool,
 }
 
 impl WakePipe {
     /// Opens the pipe pair.
     pub fn new() -> io::Result<WakePipe> {
         #[cfg(unix)]
-        {
+        let [read_fd, write_fd] = {
             let mut fds = [0i32; 2];
             // SAFETY: fds is a valid 2-slot buffer.
             if unsafe { ffi::pipe(fds.as_mut_ptr()) } < 0 {
                 return Err(io::Error::last_os_error());
             }
-            Ok(WakePipe {
-                read_fd: fds[0],
-                write_fd: fds[1],
-            })
-        }
+            fds
+        };
+        // The spin backend never blocks, so the doorbell is moot.
         #[cfg(not(unix))]
-        {
-            // The spin backend never blocks, so the doorbell is moot.
-            Ok(WakePipe {
-                read_fd: -1,
-                write_fd: -1,
-            })
-        }
+        let [read_fd, write_fd] = [-1, -1];
+        Ok(WakePipe {
+            read_fd,
+            write_fd,
+            pending: AtomicBool::new(false),
+        })
     }
 
     /// The fd to register with the poller under `EV_READ`.
@@ -439,9 +439,12 @@ impl WakePipe {
         self.read_fd
     }
 
-    /// Rings the doorbell (one byte; callers gate on an atomic so the
-    /// pipe never fills and this never blocks).
+    /// Rings the doorbell: writes one byte unless one is already
+    /// outstanding.
     pub fn wake(&self) {
+        if self.pending.swap(true, Ordering::SeqCst) {
+            return;
+        }
         #[cfg(unix)]
         {
             // SAFETY: one-byte write from a valid buffer.
@@ -449,8 +452,10 @@ impl WakePipe {
         }
     }
 
-    /// Drains buffered doorbell bytes (called only after the read end
-    /// polled readable, so the blocking read returns immediately).
+    /// Drains the doorbell byte, then re-arms the gate (called only
+    /// after the read end polled readable, so the blocking read returns
+    /// at once). Re-arming first would let a concurrent wake's byte be
+    /// swallowed here with the gate left set, silencing later wakes.
     pub fn drain(&self) {
         #[cfg(unix)]
         {
@@ -458,6 +463,13 @@ impl WakePipe {
             // SAFETY: read into a valid 64-byte buffer.
             unsafe { ffi::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
         }
+        self.pending.store(false, Ordering::SeqCst);
+    }
+
+    /// Whether a doorbell byte is outstanding (the simulated net source
+    /// reports the wake token readable exactly then).
+    pub fn is_pending(&self) -> bool {
+        self.pending.load(Ordering::SeqCst)
     }
 }
 
@@ -885,6 +897,48 @@ mod tests {
             pipe.drain();
             poller.wait(&mut events, 0).unwrap();
             assert!(events.is_empty(), "drained doorbell is quiet");
+        }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn queued_completions_always_leave_the_doorbell_readable() {
+        // Regression: the reactor once cleared the "already rung" gate
+        // before draining. A wake landing between the two had its byte
+        // swallowed by the drain while the gate stayed set, so every
+        // later wake was skipped and completions waited for the next
+        // poll tick. A worker ringing without pause hits that window;
+        // the reactor side must then still see the read end readable.
+        use std::sync::atomic::AtomicBool;
+        let pipe = Arc::new(WakePipe::new().unwrap());
+        let queued = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let worker = {
+            let (pipe, queued, stop) = (pipe.clone(), queued.clone(), stop.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    queued.fetch_add(1, Ordering::SeqCst);
+                    pipe.wake();
+                }
+            })
+        };
+        let mut poller = Poller::new(false).unwrap();
+        poller.register(pipe.read_fd(), 1, EV_READ).unwrap();
+        let mut events = Vec::new();
+        let mut lost = None;
+        for round in 0..50_000 {
+            poller.wait(&mut events, 1_000).unwrap();
+            if !events.iter().any(|e| e.token == 1 && e.readable) {
+                lost = Some((round, queued.load(Ordering::SeqCst)));
+                break;
+            }
+            pipe.drain();
+            queued.store(0, Ordering::SeqCst);
+        }
+        stop.store(true, Ordering::SeqCst);
+        worker.join().unwrap();
+        if let Some((round, n)) = lost {
+            panic!("round {round}: {n} completion(s) queued but the doorbell is silent");
         }
     }
 }

@@ -34,6 +34,48 @@ fn codes(d: &Diagnostics) -> Vec<&'static str> {
 }
 
 // ---------------------------------------------------------------------
+// The interference graph's memoized degrees
+// ---------------------------------------------------------------------
+
+/// `degree` is memoized for class representatives only; every
+/// occurring variable must still see its class's exact neighbour
+/// count through it, on every benchmark at both presets.
+#[test]
+fn degree_cache_matches_adjacency_on_the_benchsuite() {
+    use matc::gctd::{Dataflow, InterferenceGraph, InterferenceOptions};
+
+    let mut checked = 0;
+    for bench in benchsuite::all() {
+        for preset in [Preset::Test, Preset::Paper] {
+            let (ir, types, _) = pipeline(&bench.sources(preset), GctdOptions::default());
+            for (fi, func) in ir.functions.iter().enumerate() {
+                let flow = Dataflow::compute(func);
+                let g = InterferenceGraph::build(
+                    func,
+                    &flow,
+                    &types.funcs[fi],
+                    &types,
+                    InterferenceOptions::default(),
+                );
+                for r in g.representatives() {
+                    for v in g.members(r) {
+                        assert_eq!(
+                            g.degree(v),
+                            g.neighbors(v).count(),
+                            "{}: degree of {v:?} in {}",
+                            bench.name,
+                            func.name
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 0);
+}
+
+// ---------------------------------------------------------------------
 // Clean plans audit clean
 // ---------------------------------------------------------------------
 

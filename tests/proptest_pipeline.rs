@@ -302,13 +302,19 @@ fn check_dataflow_reference(src: &str) {
     for func in &ir.functions {
         let fast = Dataflow::compute(func);
         let naive = Dataflow::compute_reference(func);
-        assert_eq!(fast.live_in, naive.live_in, "live_in diverged on:\n{src}");
         assert_eq!(
-            fast.live_out, naive.live_out,
+            fast.live_in_bits(),
+            naive.live_in_bits(),
+            "live_in diverged on:\n{src}"
+        );
+        assert_eq!(
+            fast.live_out_bits(),
+            naive.live_out_bits(),
             "live_out diverged on:\n{src}"
         );
         assert_eq!(
-            fast.avail_out, naive.avail_out,
+            fast.avail_out_bits(),
+            naive.avail_out_bits(),
             "avail_out diverged on:\n{src}"
         );
         assert_eq!(
